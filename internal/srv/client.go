@@ -25,7 +25,8 @@ type Client struct {
 	// advertised.
 	rmsize atomic.Uint32
 
-	wmu sync.Mutex // frame writes
+	wmu  sync.Mutex // frame writes
+	wbuf []byte     // encode buffer, guarded by wmu
 
 	mu      sync.Mutex
 	pending map[uint16]chan *Fcall
@@ -68,12 +69,13 @@ func (c *Client) Msize() uint32 { return c.msize }
 func (c *Client) MaxIO() int { return int(c.msize) - IOHeadroom }
 
 func (c *Client) readLoop() {
+	fr := newFrameReader(c.nc)
 	for {
 		limit := c.rmsize.Load()
 		if limit == 0 {
 			limit = MaxMsize
 		}
-		f, err := ReadFcall(c.nc, limit)
+		f, err := fr.next(limit)
 		if err != nil {
 			c.mu.Lock()
 			if c.err == nil {
@@ -96,9 +98,14 @@ func (c *Client) readLoop() {
 	}
 }
 
+// replyChans recycles rpc reply channels. A channel goes back only after
+// its one reply was received, so every pooled channel is empty and no
+// reader still holds it.
+var replyChans = sync.Pool{New: func() any { return make(chan *Fcall, 1) }}
+
 // rpc sends one T-message and waits for its response frame.
 func (c *Client) rpc(f *Fcall) (*Fcall, error) {
-	ch := make(chan *Fcall, 1)
+	ch := replyChans.Get().(chan *Fcall)
 	c.mu.Lock()
 	if c.err != nil {
 		err := c.err
@@ -121,7 +128,8 @@ func (c *Client) rpc(f *Fcall) (*Fcall, error) {
 	c.mu.Unlock()
 
 	c.wmu.Lock()
-	err := WriteFcall(c.nc, f, c.msize)
+	var err error
+	c.wbuf, err = writeFrame(c.nc, c.wbuf, f, c.msize)
 	c.wmu.Unlock()
 	if err != nil {
 		c.mu.Lock()
@@ -132,6 +140,7 @@ func (c *Client) rpc(f *Fcall) (*Fcall, error) {
 
 	select {
 	case r := <-ch:
+		replyChans.Put(ch)
 		if r.Type == Rerror {
 			return nil, r.Err()
 		}

@@ -15,10 +15,12 @@
 package srv
 
 import (
+	"bufio"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"sync/atomic"
 
 	"cffs/internal/vfs"
 )
@@ -403,9 +405,22 @@ func (d *decoder) done() error {
 	return nil
 }
 
-// Marshal renders the full frame, header included.
+// Marshal renders the full frame, header included, into a fresh slice.
 func (f *Fcall) Marshal() ([]byte, error) {
-	e := &encoder{b: make([]byte, 0, 64+len(f.Data))}
+	frame, err := f.AppendMarshal(make([]byte, 0, 64+len(f.Data)))
+	if err != nil {
+		return nil, err
+	}
+	return frame, nil
+}
+
+// AppendMarshal appends the full frame, header included, to buf and
+// returns the extended slice — Marshal without the allocation when the
+// caller keeps an encode buffer between frames. On error buf comes back
+// unextended.
+func (f *Fcall) AppendMarshal(buf []byte) ([]byte, error) {
+	start := len(buf)
+	e := &encoder{b: buf}
 	e.u32(0) // size backpatched below
 	e.u8(uint8(f.Type))
 	e.u16(f.Tag)
@@ -483,9 +498,9 @@ func (f *Fcall) Marshal() ([]byte, error) {
 		e.u8(f.Code)
 		e.str(f.Ename)
 	default:
-		return nil, fmt.Errorf("marshal %v: %w", f.Type, ErrProto)
+		return buf, fmt.Errorf("marshal %v: %w", f.Type, ErrProto)
 	}
-	binary.LittleEndian.PutUint32(e.b, uint32(len(e.b)))
+	binary.LittleEndian.PutUint32(e.b[start:], uint32(len(e.b)-start))
 	return e.b, nil
 }
 
@@ -592,15 +607,32 @@ func (f *Fcall) UnmarshalBody(body []byte) error {
 // keeps frames from interleaving when callers serialize on a mutex
 // rather than the writer.
 func WriteFcall(w io.Writer, f *Fcall, msize uint32) error {
-	frame, err := f.Marshal()
-	if err != nil {
-		return err
-	}
-	if msize > 0 && uint32(len(frame)) > msize {
-		return fmt.Errorf("frame %v size %d exceeds msize %d: %w", f.Type, len(frame), msize, ErrProto)
-	}
-	_, err = w.Write(frame)
+	_, err := writeFrame(w, make([]byte, 0, 64+len(f.Data)), f, msize)
 	return err
+}
+
+// maxKeptBuf caps the encode and body buffers a connection keeps between
+// frames. A frame that outgrows it gets a one-shot buffer, so one large
+// read or write does not pin its size for the connection's lifetime —
+// the 512-session experiments multiply whatever one connection keeps.
+const maxKeptBuf = 16 << 10
+
+// writeFrame encodes f into buf's storage and writes it in one Write
+// call, enforcing msize (0 means no limit). It returns the storage to
+// encode the next frame into: buf, grown if f needed more, or nil once
+// it outgrew maxKeptBuf.
+func writeFrame(w io.Writer, buf []byte, f *Fcall, msize uint32) ([]byte, error) {
+	frame, err := f.AppendMarshal(buf[:0])
+	if err == nil && msize > 0 && uint32(len(frame)) > msize {
+		err = fmt.Errorf("frame %v size %d exceeds msize %d: %w", f.Type, len(frame), msize, ErrProto)
+	}
+	if err == nil {
+		_, err = w.Write(frame)
+	}
+	if cap(frame) > maxKeptBuf {
+		return nil, err
+	}
+	return frame[:0], err
 }
 
 // ReadFcall reads one frame. Frame-level damage — a size below the
@@ -609,28 +641,131 @@ func WriteFcall(w io.Writer, f *Fcall, msize uint32) error {
 // the connection. An unknown message *type* inside a well-formed frame
 // is recoverable and is reported via Fcall with Type preserved; the
 // caller decides (the server answers Rerror and keeps the connection).
+//
+// ReadFcall reads exactly one frame's bytes from r and nothing past
+// them, so callers may interleave it with their own reads. The client
+// and server read loops use the buffered frameReader instead.
 func ReadFcall(r io.Reader, msize uint32) (*Fcall, error) {
 	var hdr [headerBytes]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
 	}
+	f, n, err := parseHeader(hdr[:], msize)
+	if err != nil {
+		return nil, err
+	}
+	body := make([]byte, n)
+	if _, err := io.ReadFull(r, body); err != nil {
+		return nil, err
+	}
+	return f, f.decodeBody(body)
+}
+
+// parseHeader checks a frame header against msize (0 means MaxMsize) and
+// returns the frame's Type/Tag shell plus its body length.
+func parseHeader(hdr []byte, msize uint32) (*Fcall, int, error) {
 	size := binary.LittleEndian.Uint32(hdr[:4])
 	if size < headerBytes {
-		return nil, fmt.Errorf("frame size %d below header: %w", size, ErrProto)
+		return nil, 0, fmt.Errorf("frame size %d below header: %w", size, ErrProto)
 	}
 	if msize == 0 {
 		msize = MaxMsize
 	}
 	if size > msize {
-		return nil, fmt.Errorf("frame size %d exceeds msize %d: %w", size, msize, ErrProto)
+		return nil, 0, fmt.Errorf("frame size %d exceeds msize %d: %w", size, msize, ErrProto)
 	}
 	f := &Fcall{Type: MsgType(hdr[4]), Tag: binary.LittleEndian.Uint16(hdr[5:7])}
-	body := make([]byte, size-headerBytes)
-	if _, err := io.ReadFull(r, body); err != nil {
+	return f, int(size - headerBytes), nil
+}
+
+// decodeBody parses body into f unless f's type is unknown, which is
+// recoverable: the caller answers Rerror.
+func (f *Fcall) decodeBody(body []byte) error {
+	if f.Type == msgInvalid || f.Type >= msgMax {
+		return nil
+	}
+	return f.UnmarshalBody(body)
+}
+
+// frameBufSize is the per-connection read buffer. One transport read
+// fills it — a whole small frame, or several pipelined ones — and every
+// frame that fits decodes straight out of it. A few KB because the
+// many-session experiments multiply it; frames larger than the buffer
+// stream past it into the body buffer.
+const frameBufSize = 4 << 10
+
+// frameReader is the read side of one connection: ReadFcall's contract
+// at one transport read per frame instead of two (header, then body),
+// and no per-frame body allocation. Decoding straight out of a reused
+// buffer is safe because the decoder copies every string and blob out.
+type frameReader struct {
+	src  countingReader
+	br   *bufio.Reader
+	body []byte // reused for frames larger than the read buffer
+}
+
+// countingReader counts the transport reads that returned data.
+type countingReader struct {
+	r io.Reader
+	n atomic.Uint64
+}
+
+func (c *countingReader) Read(p []byte) (int, error) {
+	n, err := c.r.Read(p)
+	if n > 0 {
+		c.n.Add(1)
+	}
+	return n, err
+}
+
+func newFrameReader(r io.Reader) *frameReader {
+	fr := &frameReader{src: countingReader{r: r}}
+	fr.br = bufio.NewReaderSize(&fr.src, frameBufSize)
+	return fr
+}
+
+// reads is the number of transport reads so far. Right after next
+// returns, it numbers the read that delivered that frame's last byte;
+// the server's tag table uses it to tell frames sent before a response
+// from frames that may have been sent after it.
+func (fr *frameReader) reads() uint64 { return fr.src.n.Load() }
+
+// next reads one frame; errors mean what they mean for ReadFcall.
+func (fr *frameReader) next(msize uint32) (*Fcall, error) {
+	hdr, err := fr.br.Peek(headerBytes)
+	if err != nil {
+		if err == io.EOF && len(hdr) > 0 {
+			err = io.ErrUnexpectedEOF
+		}
 		return nil, err
 	}
-	if f.Type == msgInvalid || f.Type >= msgMax {
-		return f, nil // recoverable: caller answers Rerror
+	f, n, err := parseHeader(hdr, msize)
+	if err != nil {
+		return nil, err
 	}
-	return f, f.UnmarshalBody(body)
+	fr.br.Discard(headerBytes)
+	if n <= frameBufSize {
+		body, err := fr.br.Peek(n)
+		if err != nil {
+			if err == io.EOF && len(body) > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, err
+		}
+		err = f.decodeBody(body)
+		fr.br.Discard(n)
+		return f, err
+	}
+	body := fr.body
+	if cap(body) < n {
+		body = make([]byte, n)
+		if n <= maxKeptBuf {
+			fr.body = body
+		}
+	}
+	body = body[:n]
+	if _, err := io.ReadFull(fr.br, body); err != nil {
+		return nil, err
+	}
+	return f, f.decodeBody(body)
 }

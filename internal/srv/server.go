@@ -296,6 +296,7 @@ func (s *Server) Close() {
 type conn struct {
 	s  *Server
 	nc net.Conn
+	fr *frameReader
 
 	// msize is this connection's negotiated frame limit — the server
 	// cap until Tversion succeeds, then whatever Rversion advertised.
@@ -304,20 +305,42 @@ type conn struct {
 	// while the reader may renegotiate.
 	msize atomic.Uint32
 
-	wmu sync.Mutex // frame writes
+	wmu  sync.Mutex // frame writes
+	wbuf []byte     // encode buffer, guarded by wmu
 
-	mu     sync.Mutex
-	fids   map[uint32]*fid
-	tags   map[uint16]struct{}
-	closed bool
+	mu   sync.Mutex
+	fids map[uint32]*fid
+	// tags maps each tag the reader must refuse to the state that
+	// refuses it: tagInFlight while the request runs, then, once its
+	// response is about to be written, the frameReader.reads count at
+	// that moment. A frame with that tag delivered by that read or an
+	// earlier one was sent before the client could have seen the
+	// response — a pipelined duplicate, refused — while one from a
+	// later read may be a legitimate reuse and is admitted. released
+	// queues the released entries in reads order (from relHead on) so
+	// the reader drops each once no frame it could refuse is left.
+	tags     map[uint16]uint64
+	released []tagRelease
+	relHead  int
+	closed   bool
+}
+
+// tagInFlight marks a tag whose request has not been answered yet. Read
+// counts start at 1, so it never collides with a released entry.
+const tagInFlight = 0
+
+type tagRelease struct {
+	tag   uint16
+	reads uint64
 }
 
 func (s *Server) newConn(nc net.Conn) *conn {
 	c := &conn{
 		s:    s,
 		nc:   nc,
+		fr:   newFrameReader(nc),
 		fids: make(map[uint32]*fid),
-		tags: make(map[uint16]struct{}),
+		tags: make(map[uint16]uint64),
 	}
 	c.msize.Store(s.msize)
 	s.mu.Lock()
@@ -330,7 +353,9 @@ func (s *Server) newConn(nc net.Conn) *conn {
 }
 
 // teardown closes the connection and releases every fid it held. Safe
-// to call more than once.
+// to call more than once. The connection leaves the server's table
+// before its fids are released, so an observer that sees the fid count
+// drain to zero never still finds the connection tracked.
 func (c *conn) teardown() {
 	c.mu.Lock()
 	if c.closed {
@@ -341,6 +366,9 @@ func (c *conn) teardown() {
 	fids := c.fids
 	c.fids = make(map[uint32]*fid)
 	c.mu.Unlock()
+	c.s.mu.Lock()
+	delete(c.s.conns, c)
+	c.s.mu.Unlock()
 	for _, f := range fids {
 		c.s.nfids.Add(-1)
 		f.t.m.fids.Add(-1)
@@ -349,9 +377,6 @@ func (c *conn) teardown() {
 		}
 	}
 	c.nc.Close()
-	c.s.mu.Lock()
-	delete(c.s.conns, c)
-	c.s.mu.Unlock()
 }
 
 // readLoop parses frames and routes them. Any framing error — short
@@ -360,41 +385,47 @@ func (c *conn) teardown() {
 func (c *conn) readLoop() {
 	defer c.teardown()
 	for {
-		f, err := ReadFcall(c.nc, c.msize.Load())
+		f, err := c.fr.next(c.msize.Load())
 		if err != nil {
 			return
 		}
-		if !c.route(f) {
+		if !c.route(f, c.fr.reads()) {
 			return
 		}
 	}
 }
 
 // route handles one parsed frame on the reader goroutine, returning
-// false to drop the connection.
-func (c *conn) route(f *Fcall) bool {
+// false to drop the connection. read numbers the transport read that
+// delivered the frame.
+func (c *conn) route(f *Fcall, read uint64) bool {
 	switch f.Type {
 	case Tversion, Tattach, Tclunk:
 		// These execute synchronously on the reader, but their tags
 		// still pass through the in-flight table: a client reusing a
 		// tag held by a queued worker op must be refused here just as
 		// in admit, or two responses race on one tag.
-		if !c.reserveTag(f.Tag) {
+		c.mu.Lock()
+		ok := c.reserveTag(f.Tag, read)
+		c.mu.Unlock()
+		if !ok {
 			c.sendErr(f.Tag, fmt.Errorf("tag %d already in flight: %w", f.Tag, ErrProto))
 			return true
 		}
+		var resp *Fcall
 		switch f.Type {
 		case Tversion:
-			c.version(f)
+			resp = c.version(f)
 		case Tattach:
-			c.attach(f)
+			resp = c.attach(f)
 		case Tclunk:
-			c.clunk(f)
+			resp = c.clunk(f)
 		}
-		c.releaseTag(f.Tag)
+		resp.Tag = f.Tag
+		c.answer(resp)
 		return true
 	case Twalk, Topen, Tcreate, Tmkdir, Tread, Twrite, Tstat, Treaddir, Tunlink, Trename, Tfsync:
-		return c.admit(f)
+		return c.admit(f, read)
 	default:
 		// Well-formed frame, nonsense type (or a client sending
 		// R-messages): answer and keep the stream.
@@ -406,7 +437,7 @@ func (c *conn) route(f *Fcall) bool {
 // version negotiates the protocol revision and this connection's frame
 // limit. The negotiated msize only takes effect on success — a client
 // answered "unknown" is expected to hang up, not renegotiate framing.
-func (c *conn) version(f *Fcall) {
+func (c *conn) version(f *Fcall) *Fcall {
 	msize := f.Msize
 	if msize == 0 || msize > c.s.msize {
 		msize = c.s.msize
@@ -415,31 +446,28 @@ func (c *conn) version(f *Fcall) {
 		msize = MinMsize
 	}
 	if f.Version != Version {
-		c.send(&Fcall{Type: Rversion, Tag: f.Tag, Msize: msize, Version: "unknown"})
-		return
+		return &Fcall{Type: Rversion, Msize: msize, Version: "unknown"}
 	}
 	c.msize.Store(msize)
-	c.send(&Fcall{Type: Rversion, Tag: f.Tag, Msize: msize, Version: Version})
+	return &Fcall{Type: Rversion, Msize: msize, Version: Version}
 }
 
-func (c *conn) attach(f *Fcall) {
+func (c *conn) attach(f *Fcall) *Fcall {
 	c.s.mu.Lock()
 	t := c.s.tenants[f.Tenant]
 	c.s.mu.Unlock()
 	if t == nil {
-		c.sendErr(f.Tag, fmt.Errorf("unknown tenant %q: %w", f.Tenant, ErrPerm))
-		return
+		return rerror(fmt.Errorf("unknown tenant %q: %w", f.Tenant, ErrPerm))
 	}
 	if !c.installFid(f.Fid, &fid{t: t, ino: t.root, isRoot: true}) {
-		c.sendErr(f.Tag, fmt.Errorf("fid %d in use: %w", f.Fid, ErrProto))
-		return
+		return rerror(fmt.Errorf("fid %d in use: %w", f.Fid, ErrProto))
 	}
 	t.m.reqs[Tattach].Inc()
 	t.m.sessions.Add(1)
-	c.send(&Fcall{Type: Rattach, Tag: f.Tag, Ino: uint64(t.root)})
+	return &Fcall{Type: Rattach, Ino: uint64(t.root)}
 }
 
-func (c *conn) clunk(f *Fcall) {
+func (c *conn) clunk(f *Fcall) *Fcall {
 	c.mu.Lock()
 	fd, ok := c.fids[f.Fid]
 	if ok {
@@ -447,21 +475,21 @@ func (c *conn) clunk(f *Fcall) {
 	}
 	c.mu.Unlock()
 	if !ok {
-		c.sendErr(f.Tag, fmt.Errorf("clunk of unknown fid %d: %w", f.Fid, ErrProto))
-		return
+		return rerror(fmt.Errorf("clunk of unknown fid %d: %w", f.Fid, ErrProto))
 	}
+	fd.t.m.reqs[Tclunk].Inc()
 	c.s.nfids.Add(-1)
 	fd.t.m.fids.Add(-1)
 	if fd.isRoot {
 		fd.t.m.sessions.Add(-1)
 	}
-	c.send(&Fcall{Type: Rclunk, Tag: f.Tag})
+	return &Fcall{Type: Rclunk}
 }
 
 // admit runs the QoS front half on the reader goroutine: resolve the
 // tenant, reserve the tag, pay the token bucket (blocking the reader is
 // the backpressure), and queue for dispatch.
-func (c *conn) admit(f *Fcall) bool {
+func (c *conn) admit(f *Fcall, read uint64) bool {
 	c.mu.Lock()
 	fd := c.fids[f.Fid]
 	if fd == nil {
@@ -470,7 +498,7 @@ func (c *conn) admit(f *Fcall) bool {
 		return true
 	}
 	t := fd.t
-	if _, dup := c.tags[f.Tag]; dup {
+	if !c.reserveTag(f.Tag, read) {
 		c.mu.Unlock()
 		// A duplicate in-flight tag means the client's bookkeeping is
 		// broken; executing the request would let two responses race
@@ -478,7 +506,6 @@ func (c *conn) admit(f *Fcall) bool {
 		c.sendErr(f.Tag, fmt.Errorf("tag %d already in flight: %w", f.Tag, ErrProto))
 		return true
 	}
-	c.tags[f.Tag] = struct{}{}
 	c.mu.Unlock()
 
 	if waited := t.bkt.wait(); waited > 0 {
@@ -487,33 +514,49 @@ func (c *conn) admit(f *Fcall) bool {
 	t.m.reqs[f.Type].Inc()
 	if !c.s.disp.enqueue(request{c: c, t: t, f: f, start: time.Now()}) {
 		t.m.qosRejects.Inc()
-		c.sendErr(f.Tag, fmt.Errorf("tenant %q queue full: %w", t.name, ErrLimit))
-		c.releaseTag(f.Tag)
+		e := rerror(fmt.Errorf("tenant %q queue full: %w", t.name, ErrLimit))
+		e.Tag = f.Tag
+		c.answer(e)
 		return true
 	}
 	return true
 }
 
-// reserveTag marks tag in flight, reporting false when the client
-// already has it in flight (the caller answers without executing).
-func (c *conn) reserveTag(tag uint16) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if _, dup := c.tags[tag]; dup {
+// reserveTag marks tag in flight for a frame delivered by transport
+// read number read, reporting false when the frame must be refused as a
+// duplicate: the tag is in flight, or its response was released no
+// earlier than that read (see conn.tags). Called with c.mu held.
+func (c *conn) reserveTag(tag uint16, read uint64) bool {
+	// Released entries older than this read can refuse no frame still
+	// to come; drop them.
+	for c.relHead < len(c.released) && c.released[c.relHead].reads < read {
+		r := c.released[c.relHead]
+		if c.tags[r.tag] == r.reads {
+			delete(c.tags, r.tag)
+		}
+		c.relHead++
+	}
+	if c.relHead == len(c.released) {
+		c.released, c.relHead = c.released[:0], 0
+	}
+	if held, busy := c.tags[tag]; busy && (held == tagInFlight || held >= read) {
 		return false
 	}
-	c.tags[tag] = struct{}{}
+	c.tags[tag] = tagInFlight
 	return true
 }
 
+// releaseTag takes tag out of flight. Called with c.wmu held, just
+// before the response is written: see answer.
 func (c *conn) releaseTag(tag uint16) {
 	c.mu.Lock()
-	delete(c.tags, tag)
+	read := c.fr.reads()
+	c.tags[tag] = read
+	c.released = append(c.released, tagRelease{tag: tag, reads: read})
 	c.mu.Unlock()
 }
 
-// serveRequest is the worker side: execute against the fs, respond,
-// release the tag.
+// serveRequest is the worker side: execute against the fs and answer.
 func (s *Server) serveRequest(r request) {
 	pop := s.tctx.push(r.t.name)
 	resp := s.handle(r.c, r.t, r.f)
@@ -523,10 +566,7 @@ func (s *Server) serveRequest(r request) {
 		r.t.m.errs.Inc()
 	}
 	resp.Tag = r.f.Tag
-	// The tag stays in flight until its response is on the wire, so a
-	// client reusing a tag it has not seen answered is always caught.
-	r.c.send(resp)
-	r.c.releaseTag(r.f.Tag)
+	r.c.answer(resp)
 }
 
 func rerror(err error) *Fcall {
@@ -858,19 +898,33 @@ func (s *Server) rename(c *conn, t *tenant, f *Fcall) *Fcall {
 	return &Fcall{Type: Rrename}
 }
 
-// send writes one response frame; write failures tear the connection
-// down (the reader will notice too, harmlessly).
-func (c *conn) send(f *Fcall) {
+// answer writes the response to a request whose tag this connection
+// reserved. The tag is released under the write lock just before the
+// write: a client that reuses the tag the moment it reads the response
+// is never refused, while a later response on the same tag still
+// queues behind this one.
+func (c *conn) answer(f *Fcall) { c.write(f, true) }
+
+// write encodes f into the connection's reused buffer and writes it;
+// write failures tear the connection down (the reader will notice too,
+// harmlessly).
+func (c *conn) write(f *Fcall, release bool) {
 	c.wmu.Lock()
-	err := WriteFcall(c.nc, f, 0)
+	if release {
+		c.releaseTag(f.Tag)
+	}
+	var err error
+	c.wbuf, err = writeFrame(c.nc, c.wbuf, f, 0)
 	c.wmu.Unlock()
 	if err != nil {
 		c.teardown()
 	}
 }
 
+// sendErr refuses a frame that holds no tag reservation: a duplicate,
+// or a request that never got as far as reserving one.
 func (c *conn) sendErr(tag uint16, err error) {
 	e := rerror(err)
 	e.Tag = tag
-	c.send(e)
+	c.write(e, false)
 }

@@ -20,7 +20,18 @@ import (
 
 // testServer mounts a fresh concurrent C-FFS, serves it over loopback,
 // and returns a dialer. Cleanup closes everything.
-func testServer(t *testing.T, cfg srv.Config, tenants ...string) (*srv.Server, *srv.Loopback) {
+func testServer(t testing.TB, cfg srv.Config, tenants ...string) (*srv.Server, *srv.Loopback) {
+	t.Helper()
+	s := newServer(t, cfg, tenants...)
+	lb := srv.NewLoopback()
+	go s.Serve(lb)
+	t.Cleanup(func() { lb.Close() })
+	return s, lb
+}
+
+// newServer builds a server over a fresh concurrent C-FFS with tenants
+// declared but no listener; cleanup closes it.
+func newServer(t testing.TB, cfg srv.Config, tenants ...string) *srv.Server {
 	t.Helper()
 	d, err := disk.NewMem(disk.SeagateST31200(), sim.NewClock())
 	if err != nil {
@@ -36,18 +47,13 @@ func testServer(t *testing.T, cfg srv.Config, tenants ...string) (*srv.Server, *
 	}
 	cfg.FS = fs
 	s := srv.New(cfg)
+	t.Cleanup(s.Close)
 	for _, tn := range tenants {
 		if err := s.AddTenant(tn); err != nil {
 			t.Fatal(err)
 		}
 	}
-	lb := srv.NewLoopback()
-	go s.Serve(lb)
-	t.Cleanup(func() {
-		lb.Close()
-		s.Close()
-	})
-	return s, lb
+	return s
 }
 
 // waitZeroFids polls for the asynchronous fid release that follows
@@ -64,7 +70,7 @@ func waitZeroFids(t *testing.T, s *srv.Server) {
 	t.Fatalf("fid leak: %d fids still live", s.FidCount())
 }
 
-func dialClient(t *testing.T, lb *srv.Loopback) *srv.Client {
+func dialClient(t testing.TB, lb *srv.Loopback) *srv.Client {
 	t.Helper()
 	nc, err := lb.Dial()
 	if err != nil {
@@ -430,4 +436,43 @@ func TestConcurrentSessions(t *testing.T) {
 		}
 	}
 	waitZeroFids(t, s)
+}
+
+// TestClunkCounted pins Tclunk's place in srv.requests: counted per
+// tenant like every other request, though it is answered on the
+// connection reader rather than by a worker. A clunk of an unknown fid
+// names no tenant and is not counted.
+func TestClunkCounted(t *testing.T) {
+	reg := obs.NewRegistry()
+	_, lb := testServer(t, srv.Config{Registry: reg}, "alpha", "beta")
+	c := dialClient(t, lb)
+	ra, err := c.Attach("alpha")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rb, err := c.Attach("beta")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 3; i++ {
+		f, err := ra.Walk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Clunk(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rb.Clunk(); err != nil {
+		t.Fatal(err)
+	}
+	if err := rb.Clunk(); !errors.Is(err, srv.ErrProto) {
+		t.Fatalf("second clunk of one fid = %v, want ErrProto", err)
+	}
+	snap := reg.Snapshot()
+	for tenant, want := range map[string]int64{"alpha": 3, "beta": 1} {
+		if got := snap.Counters[obs.Name("srv.requests", "op", "Tclunk", "tenant", tenant)]; got != want {
+			t.Errorf("tenant %s: srv.requests Tclunk = %d, want %d", tenant, got, want)
+		}
+	}
 }

@@ -99,6 +99,36 @@ func TestTortureFraming(t *testing.T) {
 		expectClosed(t, nc)
 	})
 
+	t.Run("coalesced-then-damaged", func(t *testing.T) {
+		// A good frame and a damaged one arrive in one transport read:
+		// the good one is answered from the read buffer, then the
+		// damaged header still kills the connection.
+		for _, size := range []uint32{3, srv.MaxMsize + 1} {
+			nc := rawDial(t, lb)
+			bad := make([]byte, 7)
+			binary.LittleEndian.PutUint32(bad, size)
+			bad[4] = byte(srv.Tstat)
+			nc.Write(append(frame(byte(srv.Tversion), 1, versionBody()), bad...))
+			if r := readRaw(t, nc); r.Type != srv.Rversion {
+				t.Fatalf("size %d: good frame answered %v", size, r.Type)
+			}
+			expectClosed(t, nc)
+		}
+	})
+	t.Run("split-at-every-byte", func(t *testing.T) {
+		// One frame delivered in two writes, split at each boundary in
+		// turn, header included: the buffered reader must reassemble it.
+		nc := rawDial(t, lb)
+		vf := frame(byte(srv.Tversion), 1, versionBody())
+		for k := 1; k < len(vf); k++ {
+			nc.Write(vf[:k])
+			nc.Write(vf[k:])
+			if r := readRaw(t, nc); r.Type != srv.Rversion || r.Tag != 1 {
+				t.Fatalf("split at %d: %v tag %d", k, r.Type, r.Tag)
+			}
+		}
+	})
+
 	// The server is still alive and correct for a well-behaved client.
 	c := dialClient(t, lb)
 	if _, err := c.Attach("alpha"); err != nil {
@@ -116,11 +146,7 @@ func TestTortureMessages(t *testing.T) {
 	nc := rawDial(t, lb)
 
 	// Version first, by hand.
-	vbody := make([]byte, 4+2+len(srv.Version))
-	binary.LittleEndian.PutUint32(vbody, srv.DefaultMsize)
-	binary.LittleEndian.PutUint16(vbody[4:6], uint16(len(srv.Version)))
-	copy(vbody[6:], srv.Version)
-	nc.Write(frame(byte(srv.Tversion), 0xAAAA, vbody))
+	nc.Write(frame(byte(srv.Tversion), 0xAAAA, versionBody()))
 	if r := readRaw(t, nc); r.Type != srv.Rversion {
 		t.Fatalf("version reply = %v", r.Type)
 	}
@@ -248,6 +274,67 @@ func TestTortureMessages(t *testing.T) {
 	waitZeroFids(t, s)
 }
 
+// versionBody is a Tversion body asking for the default msize.
+func versionBody() []byte {
+	vbody := make([]byte, 4+2+len(srv.Version))
+	binary.LittleEndian.PutUint32(vbody, srv.DefaultMsize)
+	binary.LittleEndian.PutUint16(vbody[4:6], uint16(len(srv.Version)))
+	copy(vbody[6:], srv.Version)
+	return vbody
+}
+
+// attachBody is a Tattach body binding fid to tenant.
+func attachBody(fid uint32, tenant string) []byte {
+	b := make([]byte, 4+2+len(tenant))
+	binary.LittleEndian.PutUint32(b, fid)
+	binary.LittleEndian.PutUint16(b[4:6], uint16(len(tenant)))
+	copy(b[6:], tenant)
+	return b
+}
+
+// TestTortureTagReuse is the regression test for the tag-release race:
+// a conforming client may reuse a tag the moment it has read the
+// response, so one connection cycling a single tag through worker
+// requests (Twalk, Tstat) and reader-side ones (Tclunk), each sent
+// right after the previous reply, must never be refused. The tag is
+// released before its response is written, so this holds on every
+// schedule, not just likely ones.
+func TestTortureTagReuse(t *testing.T) {
+	s, lb := testServer(t, srv.Config{QoS: srv.QoS{Workers: 2}}, "alpha")
+	nc := rawDial(t, lb)
+	const tag = 7
+	nc.Write(frame(byte(srv.Tversion), tag, versionBody()))
+	if r := readRaw(t, nc); r.Type != srv.Rversion {
+		t.Fatalf("version: %v", r.Type)
+	}
+	nc.Write(frame(byte(srv.Tattach), tag, attachBody(1, "alpha")))
+	if r := readRaw(t, nc); r.Type != srv.Rattach {
+		t.Fatalf("attach: %v / %v", r.Type, r.Err())
+	}
+	walk := make([]byte, 10) // fid 1 -> newfid 2, no names: a clone
+	binary.LittleEndian.PutUint32(walk, 1)
+	binary.LittleEndian.PutUint32(walk[4:], 2)
+	steps := []struct {
+		frame []byte
+		want  srv.MsgType
+	}{
+		{frame(byte(srv.Twalk), tag, walk), srv.Rwalk},
+		{frame(byte(srv.Tstat), tag, u32body(2)), srv.Rstat},
+		{frame(byte(srv.Tclunk), tag, u32body(2)), srv.Rclunk},
+	}
+	const rounds = 1500
+	for i := 0; i < rounds; i++ {
+		for _, st := range steps {
+			nc.Write(st.frame)
+			if r := readRaw(t, nc); r.Type != st.want || r.Tag != tag {
+				t.Fatalf("round %d: %v answered %v tag %d (%v), want %v", i, st.want-1, r.Type, r.Tag, r.Err(), st.want)
+			}
+		}
+	}
+	nc.Close()
+	waitZeroFids(t, s)
+}
+
 func u32body(v uint32) []byte {
 	b := make([]byte, 4)
 	binary.LittleEndian.PutUint32(b, v)
@@ -329,8 +416,6 @@ func TestTortureNegotiatedMsize(t *testing.T) {
 		}
 		// Page the directory; readLimited rejects any frame over the
 		// negotiated msize, and the clipped budget must force paging.
-		// Tags advance per page: a tag stays reserved until its
-		// response write returns, so instant reuse can race the release.
 		total, pages := 0, 0
 		for {
 			rbody := make([]byte, 12)
